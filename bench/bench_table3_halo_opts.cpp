@@ -9,12 +9,19 @@
 // Layer 2 (model): projected per-step runtimes at the paper's ARCHER2 and
 // Cirrus configurations next to the published Table III values.
 //
-// Zero-copy transport layer (ISSUE 10): halo-exchange A/B of the pooled
-// send_owned/recv_owned path against the legacy copying path, the
-// steady-state allocation gate, and the coupled-rig bit-identity matrix.
-// Results land in BENCH_halo.json; floor violations fail the exit status
-// (--quick shrinks sizes for the CI gate without relaxing the floors).
+// Zero-copy transport layer: bandwidth-regime halo bytes/s as a fraction of
+// an in-run memcpy of the same per-epoch payload, the latency regime
+// (reported), the steady-state allocation gate, and the coupled-rig
+// layout bit-identity matrix. Results land in BENCH_halo.json; floor
+// violations fail the exit status (--quick shrinks sizes for the CI gate
+// without relaxing the floors).
+#include <pthread.h>
+#include <sched.h>
+
+#include <atomic>
 #include <cstring>
+#include <optional>
+#include <thread>
 
 #include "bench/bench_common.hpp"
 #include "src/hydra/solver.hpp"
@@ -67,7 +74,48 @@ HaloMeasurement run_row(bool partial, bool grouped, int nranks, int steps) {
   return out;
 }
 
-/// One timed zero-copy A/B run: a two-loop epoch (direct write, then an
+/// Binds the calling thread to one CPU (wrapping at the CPU count). Left to
+/// the scheduler, a fresh two-rank world started after the machine sat
+/// idle ran its halo epochs about 1.8x slower for the whole process (seen
+/// on a 4-vCPU VM); pinned, it does not.
+void pin_to_cpu(int cpu) {
+  const int n = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu % n, &set);
+  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+}
+
+/// Keeps every CPU busy at SCHED_IDLE priority while alive, so the CPU of a
+/// rank blocked in a receive never halts: on a virtual machine a halted
+/// vCPU can take tens to hundreds of microseconds to wake. Any real thread
+/// preempts these.
+class IdleSpinners {
+ public:
+  IdleSpinners() {
+    const unsigned n = std::max(1u, std::thread::hardware_concurrency());
+    for (unsigned i = 0; i < n; ++i) {
+      threads_.emplace_back([this] {
+        const sched_param param{};
+        (void)pthread_setschedparam(pthread_self(), SCHED_IDLE, &param);
+        while (!stop_.load(std::memory_order_relaxed)) {
+        }
+      });
+    }
+  }
+  IdleSpinners(const IdleSpinners&) = delete;
+  IdleSpinners& operator=(const IdleSpinners&) = delete;
+  ~IdleSpinners() {
+    stop_.store(true, std::memory_order_relaxed);
+    for (auto& t : threads_) t.join();
+  }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::vector<std::thread> threads_;
+};
+
+/// One timed halo-exchange run: a two-loop epoch (direct write, then an
 /// indirect read through a half-shift map) over `ncell` elements whose halo
 /// is half the mesh — every epoch moves ncell/2 * ncomp doubles per rank
 /// each way, so the exchange dominates and the regime is set by
@@ -81,13 +129,11 @@ struct ZcRun {
   std::uint64_t copies_avoided = 0; ///< send_owned moves delta (world pool)
 };
 
-ZcRun run_zc_micro(bool zero_copy, int nranks, op2::index_t ncell, int ncomp, int warm,
-                   int epochs) {
+ZcRun run_zc_micro(int nranks, op2::index_t ncell, int ncomp, int warm, int epochs) {
   ZcRun out;
   minimpi::World::run(nranks, [&](minimpi::Comm& comm) {
-    op2::Config cfg;
-    cfg.zero_copy_transport = zero_copy;
-    op2::Context ctx(comm, cfg);
+    pin_to_cpu(comm.rank() + 1);
+    op2::Context ctx(comm, op2::Config{});
     auto& cells = ctx.decl_set("cells", ncell);
     std::vector<double> centers(static_cast<std::size_t>(ncell) * 3, 0.0);
     for (op2::index_t i = 0; i < ncell; ++i) {
@@ -135,10 +181,22 @@ ZcRun run_zc_micro(bool zero_copy, int nranks, op2::index_t ncell, int ncomp, in
   return out;
 }
 
+/// In-run hardware reference for the halo gate: seconds for `reps`
+/// single-thread memcpys of `nbytes` between two pre-touched buffers.
+double memcpy_seconds(std::size_t nbytes, int reps) {
+  std::vector<std::byte> src(nbytes, std::byte{1}), dst(nbytes);
+  std::memcpy(dst.data(), src.data(), nbytes);
+  util::Timer t;
+  for (int i = 0; i < reps; ++i) {
+    std::memcpy(dst.data(), src.data(), nbytes);
+    src[static_cast<std::size_t>(i) % nbytes] = dst[nbytes - 1];  // keep every copy live
+  }
+  return t.elapsed();
+}
+
 /// Coupled two-row rig for `steps` steps; returns the row-1 global flow
 /// state (captured on the row's rank 0; fetch_global is row-collective).
-std::vector<double> run_coupled_state(bool zero_copy, const std::vector<int>& hs_ranks,
-                                      op2::Layout layout) {
+std::vector<double> run_coupled_state(const std::vector<int>& hs_ranks, op2::Layout layout) {
   jm76::CoupledConfig cfg;
   cfg.rig = rig::rig250_spec(2);
   cfg.res = rig::resolution_tier("tiny");
@@ -149,7 +207,6 @@ std::vector<double> run_coupled_state(bool zero_copy, const std::vector<int>& hs
   cfg.hs_ranks = hs_ranks;
   cfg.cus_per_interface = 1;
   cfg.pipelined = false;
-  cfg.op2cfg.zero_copy_transport = zero_copy;
   cfg.op2cfg.default_layout = layout;
   std::vector<double> out;
   minimpi::World::run(cfg.layout().world_size(), [&](minimpi::Comm& world) {
@@ -283,7 +340,8 @@ int main(int argc, char** argv) {
   util::write_csv(gg, "table3_measured_gg.csv");
 
   // -------------------------------------------------------------------------
-  // Zero-copy transport: A/B, steady-state allocation gate, bit-identity.
+  // Zero-copy transport: bandwidth vs memcpy, steady-state allocation gate,
+  // layout bit-identity.
   int gate_failures = 0;
   auto gate = [&](bool ok, const std::string& what) {
     if (!ok) {
@@ -292,80 +350,96 @@ int main(int argc, char** argv) {
     }
   };
 
-  bench::section("measured: zero-copy transport A/B — halo exchange regimes");
+  bench::section("measured: zero-copy halo transport vs in-run memcpy");
   const int bw_cells = quick ? 12000 : 40000;
   const int bw_comp = 64;
   const int bw_epochs = quick ? 6 : 10;
   const int lat_cells = 2048;
   const int lat_comp = 2;
   const int lat_epochs = quick ? 40 : 100;
-  const int trials = quick ? 2 : 3;
+  const int trials = 9;
 
-  // Best-of-N wall time per mode; the meters are gated on every trial.
-  double bw_legacy = 1e30, bw_zc = 1e30, lat_legacy = 1e30, lat_zc = 1e30;
-  ZcRun bw_zc_run, bw_legacy_run;
+  // Best-of-N wall time per regime and for the memcpy reference, measured
+  // interleaved with every vCPU kept awake; the meters are gated on every
+  // trial.
+  double bw_s = 1e30, memcpy_s = 1e30, lat_s = 1e30;
+  ZcRun bw_run;
+  std::optional<IdleSpinners> spinners(std::in_place);
   for (int r = 0; r < trials; ++r) {
-    const auto a = run_zc_micro(false, 2, bw_cells, bw_comp, 3, bw_epochs);
-    const auto b = run_zc_micro(true, 2, bw_cells, bw_comp, 3, bw_epochs);
-    if (a.seconds < bw_legacy) { bw_legacy = a.seconds; bw_legacy_run = a; }
-    if (b.seconds < bw_zc) { bw_zc = b.seconds; bw_zc_run = b; }
-    // Deterministic per-site meter: zero growth after warm-up, both modes.
-    gate(a.site_allocs == 0, "legacy steady-state pack-buffer growth != 0");
-    gate(b.site_allocs == 0, "zero-copy steady-state buffer growth != 0");
+    const auto b = run_zc_micro(2, bw_cells, bw_comp, 3, bw_epochs);
+    if (b.seconds < bw_s) {
+      bw_s = b.seconds;
+      bw_run = b;
+    }
+    // Deterministic per-site meter: zero growth after warm-up.
+    gate(b.site_allocs == 0, "steady-state halo buffer growth != 0");
     // Every steady-state message moved its payload (no copies on the
     // clean path); pool growth, if any, is transient warm-up — never
     // per-message.
-    gate(b.copies_avoided == b.msgs, "zero-copy mode copied a payload");
+    gate(b.copies_avoided == b.msgs, "halo transport copied a payload");
     gate(b.slab_allocs * 4 <= b.msgs, "pool allocating per message");
-    lat_legacy = std::min(lat_legacy, run_zc_micro(false, 2, lat_cells, lat_comp, 3, lat_epochs).seconds);
-    lat_zc = std::min(lat_zc, run_zc_micro(true, 2, lat_cells, lat_comp, 3, lat_epochs).seconds);
+    const auto epoch_bytes = b.bytes / static_cast<std::uint64_t>(bw_epochs);
+    memcpy_s = std::min(memcpy_s, memcpy_seconds(epoch_bytes, bw_epochs));
+    lat_s = std::min(lat_s, run_zc_micro(2, lat_cells, lat_comp, 3, lat_epochs).seconds);
   }
-  const double bw_speedup = bw_legacy / bw_zc;
-  const double lat_speedup = lat_legacy / lat_zc;
-  util::Table zc({"regime", "payload/epoch", "legacy s", "zero-copy s", "speedup"});
-  zc.add_row({"bandwidth", util::fmt("{} MB", bw_cells / 2 * bw_comp * 8 / 1000000),
-              util::Table::num(bw_legacy, 4), util::Table::num(bw_zc, 4),
-              util::Table::num(bw_speedup, 3)});
+  spinners.reset();
+  // Same bytes both ways, so the bandwidth fraction is a time ratio.
+  const double bw_bytes_per_s = static_cast<double>(bw_run.bytes) / bw_s;
+  const double memcpy_bytes_per_s = static_cast<double>(bw_run.bytes) / memcpy_s;
+  const double bw_frac = bw_bytes_per_s / memcpy_bytes_per_s;
+  util::Table zc({"regime", "payload/epoch", "halo s", "halo GB/s", "memcpy GB/s",
+                  "fraction"});
+  zc.add_row({"bandwidth",
+              util::fmt("{} MB", bw_run.bytes / static_cast<std::uint64_t>(bw_epochs) / 1000000),
+              util::Table::num(bw_s, 4), util::Table::num(bw_bytes_per_s / 1e9, 2),
+              util::Table::num(memcpy_bytes_per_s / 1e9, 2), util::Table::num(bw_frac, 3)});
   zc.add_row({"latency", util::fmt("{} KB", lat_cells / 2 * lat_comp * 8 / 1000),
-              util::Table::num(lat_legacy, 4), util::Table::num(lat_zc, 4),
-              util::Table::num(lat_speedup, 3)});
+              util::Table::num(lat_s, 4), "-", "-", "-"});
   zc.print_text(std::cout);
   std::cout << util::fmt(
-      "steady state (zero-copy, {} msgs): site allocs {}, pool slab allocs {}, "
-      "payload moves {}\n",
-      bw_zc_run.msgs, bw_zc_run.site_allocs, bw_zc_run.slab_allocs,
-      bw_zc_run.copies_avoided);
-  // Floor: the bandwidth regime is where removing the send-side copy pays;
-  // the latency regime is reported but not gated (per-message overhead is
-  // mailbox bookkeeping, not payload motion).
-  gate(bw_speedup >= 1.25,
-       util::fmt("bandwidth-regime speedup {} < 1.25 floor", util::Table::num(bw_speedup, 3)));
+      "steady state ({} msgs): site allocs {}, pool slab allocs {}, payload moves {}\n",
+      bw_run.msgs, bw_run.site_allocs, bw_run.slab_allocs, bw_run.copies_avoided);
+  // Floor: 1.25x the fraction the former copying transport reached under
+  // this same procedure (median 0.546 over 24 --quick runs on a 4-vCPU
+  // x86 VM), i.e. the old ">= 1.25x speedup over the copying path" bar
+  // restated against the hardware. The latency regime is reported but not
+  // gated (per-message overhead is mailbox bookkeeping, not payload
+  // motion).
+  constexpr double kBwFracFloor = 0.68;
+  gate(bw_frac >= kBwFracFloor,
+       util::fmt("bandwidth-regime fraction of memcpy {} < {} floor",
+                 util::Table::num(bw_frac, 3), kBwFracFloor));
 
-  bench::section("measured: coupled-rig bit-identity (transport on vs off)");
-  util::Table bits({"hs ranks/row", "layout", "identical"});
+  // Layouts repack every dat the transport gathers and scatters, so a
+  // transport bug that depends on the payload shape breaks bit-identity
+  // against the AoS reference.
+  bench::section("measured: coupled-rig bit-identity (SoA/AoSoA vs AoS)");
+  util::Table bits({"hs ranks/row", "layout", "identical to aos"});
   bool all_identical = true;
   for (const int rr : {1, 2, 3}) {
-    for (const op2::Layout lay : {op2::Layout::AoS, op2::Layout::SoA, op2::Layout::AoSoA}) {
-      const auto on = run_coupled_state(true, {rr, rr}, lay);
-      const auto off = run_coupled_state(false, {rr, rr}, lay);
-      const bool same = on.size() == off.size() && !on.empty() &&
-                        std::memcmp(on.data(), off.data(), on.size() * sizeof(double)) == 0;
+    const auto ref = run_coupled_state({rr, rr}, op2::Layout::AoS);
+    for (const op2::Layout lay : {op2::Layout::SoA, op2::Layout::AoSoA}) {
+      const auto got = run_coupled_state({rr, rr}, lay);
+      const bool same = got.size() == ref.size() && !ref.empty() &&
+                        std::memcmp(got.data(), ref.data(), ref.size() * sizeof(double)) == 0;
       all_identical = all_identical && same;
       bits.add_row({std::to_string(rr), op2::layout_name(lay), same ? "yes" : "NO"});
     }
   }
   bits.print_text(std::cout);
-  gate(all_identical, "coupled-rig state differs between transport on/off");
+  gate(all_identical, "coupled-rig state differs between layouts");
 
   bench::write_bench_json(
-      "halo", {{"bw_speedup", bw_speedup},
-               {"bw_legacy_seconds", bw_legacy},
-               {"bw_zero_copy_seconds", bw_zc},
-               {"lat_speedup", lat_speedup},
-               {"steady_site_allocs", static_cast<double>(bw_zc_run.site_allocs)},
-               {"steady_slab_allocs", static_cast<double>(bw_zc_run.slab_allocs)},
-               {"steady_msgs", static_cast<double>(bw_zc_run.msgs)},
-               {"steady_copies_avoided", static_cast<double>(bw_zc_run.copies_avoided)},
+      "halo", {{"bw_frac_of_memcpy", bw_frac},
+               {"bw_frac_floor", kBwFracFloor},
+               {"bw_seconds", bw_s},
+               {"bw_bytes_per_s", bw_bytes_per_s},
+               {"memcpy_bytes_per_s", memcpy_bytes_per_s},
+               {"lat_seconds", lat_s},
+               {"steady_site_allocs", static_cast<double>(bw_run.site_allocs)},
+               {"steady_slab_allocs", static_cast<double>(bw_run.slab_allocs)},
+               {"steady_msgs", static_cast<double>(bw_run.msgs)},
+               {"steady_copies_avoided", static_cast<double>(bw_run.copies_avoided)},
                {"bit_identical", all_identical ? 1.0 : 0.0},
                {"gate_failures", static_cast<double>(gate_failures)}});
 

@@ -170,7 +170,7 @@ class Context {
   /// against it.
   [[nodiscard]] std::uint64_t layout_epoch() const { return layout_epoch_; }
 
-  /// Times a persistent halo pack buffer grew (capacity allocation). After
+  /// Times a per-neighbor halo payload outgrew its high-water mark. After
   /// warm-up, steady-state iterations must not grow this (tested).
   [[nodiscard]] std::uint64_t halo_buffer_allocs() const { return halo_buf_allocs_; }
 
@@ -403,10 +403,9 @@ class Context {
                                          bool include_exec_direct) const;
   /// The single pack+send site for every halo message (grouped, ungrouped
   /// and fused chain epochs): gathers `dats` over `idx` — concatenated in
-  /// AoS order — and ships the message to `peer`. Zero-copy mode leases a
-  /// pooled buffer and moves it (send_owned); legacy mode reuses the
-  /// persistent per-neighbor pack buffer and pays send_bytes' copy. Growth
-  /// (fresh slab / capacity bump) is metered into halo_buf_allocs_.
+  /// AoS order — into a leased pooled buffer and moves it to `peer`
+  /// (send_owned). Payload high-water growth is metered into
+  /// halo_buf_allocs_.
   void halo_pack_send(PlanSetComm& sc, std::size_t nbrs, std::size_t i,
                       const std::vector<index_t>& idx,
                       const std::vector<DatBase*>& dats, int peer, int tag,

@@ -389,32 +389,6 @@ void Context::build_partial_lists(LoopPlan& plan, const std::vector<ArgInfo>& ar
 
 namespace {
 
-/// Send one halo message, converting transient-fault exhaustion into a
-/// structured HaloError that names the set and peer. WorldAborted passes
-/// through untouched: it is a world-death signal, not a halo failure.
-void halo_send(minimpi::Comm& comm, std::span<const std::byte> buf, int peer, int tag,
-               const Set& s) {
-  try {
-    comm.send_bytes(buf, peer, tag);
-  } catch (const minimpi::TransientSendError& e) {
-    throw HaloError(util::fmt("op2: halo send for set '{}' to rank {} failed: {}", s.name(),
-                              peer, e.what()),
-                    s.name(), peer, /*sending=*/true);
-  }
-}
-
-/// Legacy-mode persistent per-neighbor pack buffer: capacity survives across
-/// exchanges (send_bytes copies, so the buffer is reusable the moment the
-/// call returns). Steady state allocates nothing; `allocs` meters growth.
-std::vector<std::byte>& pack_buf(PlanSetComm& sc, std::size_t nbrs, std::size_t i,
-                                 std::size_t need, std::uint64_t& allocs) {
-  if (sc.send_bufs.size() < nbrs) sc.send_bufs.resize(nbrs);
-  auto& buf = sc.send_bufs[i];
-  if (need > buf.capacity()) ++allocs;
-  buf.resize(need);
-  return buf;
-}
-
 /// Pool counters onto the trace (halo epochs sample them after completing
 /// receives, so counter tracks line up with the halo spans).
 void trace_pool_counters(minimpi::Comm& comm) {
@@ -434,38 +408,30 @@ void Context::halo_pack_send(PlanSetComm& sc, std::size_t nbrs, std::size_t i,
                              const Set& s) {
   std::size_t need = 0;
   for (const DatBase* d : dats) need += idx.size() * d->elem_bytes();
-  if (cfg_.zero_copy_transport) {
-    // Zero-copy: gather straight into a pooled slab and move it into the
-    // receiver's mailbox. The alloc meter counts per-site payload growth —
-    // the deterministic analogue of the legacy capacity bump; pool-level
-    // slab allocations are exposed separately via Comm::pool_stats().
-    if (sc.send_watermark.size() < nbrs) sc.send_watermark.resize(nbrs, 0);
-    if (need > sc.send_watermark[i]) {
-      ++halo_buf_allocs_;
-      sc.send_watermark[i] = need;
-    }
-    minimpi::Buffer buf = comm_.lease(need);
-    std::size_t off = 0;
-    for (DatBase* d : dats) {
-      d->gather_elems(idx, buf.data() + off);
-      off += idx.size() * d->elem_bytes();
-    }
-    try {
-      comm_.send_owned(std::move(buf), peer, tag);
-    } catch (const minimpi::TransientSendError& e) {
-      throw HaloError(util::fmt("op2: halo send for set '{}' to rank {} failed: {}",
-                                s.name(), peer, e.what()),
-                      s.name(), peer, /*sending=*/true);
-    }
-    return;
+  // Gather straight into a pooled slab and move it into the receiver's
+  // mailbox. The alloc meter counts per-site payload growth; pool-level
+  // slab allocations are exposed separately via Comm::pool_stats().
+  if (sc.send_watermark.size() < nbrs) sc.send_watermark.resize(nbrs, 0);
+  if (need > sc.send_watermark[i]) {
+    ++halo_buf_allocs_;
+    sc.send_watermark[i] = need;
   }
-  auto& buf = pack_buf(sc, nbrs, i, need, halo_buf_allocs_);
+  minimpi::Buffer buf = comm_.lease(need);
   std::size_t off = 0;
   for (DatBase* d : dats) {
     d->gather_elems(idx, buf.data() + off);
     off += idx.size() * d->elem_bytes();
   }
-  halo_send(comm_, buf, peer, tag, s);
+  // Transient-fault exhaustion becomes a structured HaloError naming the
+  // set and peer; WorldAborted passes through untouched (world death, not
+  // a halo failure).
+  try {
+    comm_.send_owned(std::move(buf), peer, tag);
+  } catch (const minimpi::TransientSendError& e) {
+    throw HaloError(util::fmt("op2: halo send for set '{}' to rank {} failed: {}", s.name(),
+                              peer, e.what()),
+                    s.name(), peer, /*sending=*/true);
+  }
 }
 
 Context::PendingExchange Context::exchange_begin(LoopPlan& plan,

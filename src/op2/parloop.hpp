@@ -42,7 +42,6 @@
 #include "src/op2/map.hpp"
 #include "src/op2/plan.hpp"
 #include "src/op2/set.hpp"
-#include "src/op2/simt.hpp"
 #include "src/op2/types.hpp"
 #include "src/util/timer.hpp"
 #include "src/util/trace.hpp"
@@ -549,6 +548,14 @@ inline BoundRow bind(const RowArg& a, NoScratch&, int) {
   return BoundRow{a.map->table().data(), a.map->dim()};
 }
 
+/// Binds every argument to worker `tid`'s scratch slice.
+template <class... A, class... S>
+auto bind_all(const std::tuple<A...>& args, std::tuple<S...>& scratch, int tid) {
+  return [&]<std::size_t... I>(std::index_sequence<I...>) {
+    return std::make_tuple(bind(std::get<I>(args), std::get<I>(scratch), tid)...);
+  }(std::index_sequence_for<A...>{});
+}
+
 // --- reduction merge / finalize ---------------------------------------------
 
 template <class T>
@@ -679,37 +686,35 @@ inline void attach_set(IdxArg& a, const Set& s) { a.l2g = s.local_to_global().da
 template <class A>
 void attach_set(A&, const Set&) {}
 
-// --- SIMT-emulation march (simt.hpp) ----------------------------------------
+// --- the per-element loop ----------------------------------------------------
 
-/// Marches `body(i)` for i in [0, n) as warps of kWarpWidth lanes: lanes run
-/// serially in ascending order (results bit-identical to a plain loop) while
-/// the warp hooks meter occupancy and branch divergence. Tail warps carry
-/// predicated-off lanes (active < kWarpWidth).
-template <class F>
-inline void simt_march(std::size_t n, F&& body) {
-  for (std::size_t w = 0; w < n; w += simt::kWarpWidth) {
-    const int active = static_cast<int>(
-        std::min<std::size_t>(simt::kWarpWidth, n - w));
-    simt::detail::warp_begin();
-    for (int l = 0; l < active; ++l) {
-      simt::detail::lane_begin(l);
-      body(w + static_cast<std::size_t>(l));
-    }
-    simt::detail::warp_end(active);
-  }
+template <class... B>
+[[nodiscard]] inline bool any_staged(const std::tuple<B...>& bound) {
+  return std::apply([](const auto&... b) { return (is_staged(b) || ...); }, bound);
 }
 
-/// Emits the process-global SIMT counters as trace counter tracks (called by
-/// the executor after a SIMT-marched loop when tracing is on).
-inline void emit_simt_counters() {
-  const simt::Stats st = simt::stats();
-  trace::counter("simt:warps", static_cast<double>(st.warps));
-  trace::counter("simt:full_warps", static_cast<double>(st.full_warps));
-  trace::counter("simt:partial_warps", static_cast<double>(st.partial_warps));
-  trace::counter("simt:lanes", static_cast<double>(st.lanes));
-  trace::counter("simt:branch_slots", static_cast<double>(st.branch_slots));
-  trace::counter("simt:divergent", static_cast<double>(st.divergent_branches));
-  trace::counter("simt:convergent", static_cast<double>(st.convergent_branches));
+/// Runs `kernel` on elements elem(0), ..., elem(n-1) through the bound
+/// arguments, in that order — the element loop shared by par_loop's
+/// index-list spans and LoopChain's fused tile ranges. With no staged
+/// argument (every dat unit-stride) post() is dead for every argument, so
+/// the loop skips it; otherwise each element gathers into its scratch lane
+/// and scatters back, which is safe for staged indirect writes too.
+template <class Kernel, class... B, class Elem>
+inline void run_elements(Kernel& kernel, std::tuple<B...>& bound, std::size_t n, Elem elem) {
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    if (!any_staged(bound)) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const index_t e = elem(i);
+        kernel(pre(std::get<I>(bound), e)...);
+      }
+      return;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const index_t e = elem(i);
+      kernel(pre(std::get<I>(bound), e)...);
+      (post(std::get<I>(bound), e), ...);
+    }
+  }(std::index_sequence_for<B...>{});
 }
 
 }  // namespace detail
@@ -776,31 +781,11 @@ void par_loop(const char* name, const Set& set, Kernel&& kernel, As... as) {
   std::vector<gindex_t> delta_gids;
   std::vector<double> delta_vals;
 
-  const bool simt_on = ctx.config().simt;
   constexpr auto idx_seq = std::index_sequence_for<As...>{};
   auto run_span = [&]<std::size_t... I>(std::span<const index_t> elems, int tid,
                                         std::index_sequence<I...>) {
-    auto bound = std::make_tuple(
-        detail::bind(std::get<I>(args), std::get<I>(scratch), tid)...);
-    if (simt_on) {
-      // SIMT-emulation lane model: warp-width groups with per-lane
-      // predication, ascending lane order (bit-identical results). The
-      // per-element gather/scatter path is the always-safe one.
-      detail::simt_march(elems.size(), [&](std::size_t i) {
-        const index_t e = elems[i];
-        kernel(detail::pre(std::get<I>(bound), e)...);
-        (detail::post(std::get<I>(bound), e), ...);
-      });
-      return;
-    }
-    const bool any_staged = (detail::is_staged(std::get<I>(bound)) || ...);
-    if (!any_staged) {
-      for (const index_t e : elems) {
-        kernel(detail::pre(std::get<I>(bound), e)...);
-      }
-      return;
-    }
-    if (chunk_ok) {
+    auto bound = detail::bind_all(args, scratch, tid);
+    if (chunk_ok && detail::any_staged(bound)) {
       const std::size_t n = elems.size();
       for (std::size_t p = 0; p < n; p += detail::kStage) {
         const int m = static_cast<int>(
@@ -814,18 +799,15 @@ void par_loop(const char* name, const Set& set, Kernel&& kernel, As... as) {
       }
       return;
     }
-    for (const index_t e : elems) {
-      kernel(detail::pre(std::get<I>(bound), e)...);
-      (detail::post(std::get<I>(bound), e), ...);
-    }
+    detail::run_elements(kernel, bound, elems.size(),
+                         [elems](std::size_t i) { return elems[i]; });
   };
 
   // Vectorized path: iterate the contiguous index range directly — no
   // index list, no gathers, unit/constant strides per argument.
   auto run_range = [&]<std::size_t... I>(index_t lo, index_t hi, int tid,
                                          std::index_sequence<I...>) {
-    auto bound = std::make_tuple(
-        detail::bind(std::get<I>(args), std::get<I>(scratch), tid)...);
+    auto bound = detail::bind_all(args, scratch, tid);
     VCGT_SIMD
     for (index_t e = lo; e < hi; ++e) {
       kernel(detail::vptr(std::get<I>(bound), e)...);
@@ -834,13 +816,10 @@ void par_loop(const char* name, const Set& set, Kernel&& kernel, As... as) {
 
   // Deterministic-capture executor: per-element (gather/scatter path, safe
   // for staged indirect writes), tid 0 only, recording Inc deltas for owned
-  // elements. SIMT marching is skipped here — lane order is ascending
-  // either way, so values are identical; only the occupancy counters are
-  // not metered for these loops.
+  // elements.
   auto run_capture = [&]<std::size_t... I>(std::span<const index_t> elems,
                                            std::index_sequence<I...>) {
-    auto bound = std::make_tuple(
-        detail::bind(std::get<I>(args), std::get<I>(scratch), 0)...);
+    auto bound = detail::bind_all(args, scratch, 0);
     const auto& l2g = set.local_to_global();
     const index_t nown = set.n_owned();
     for (const index_t e : elems) {
@@ -865,7 +844,7 @@ void par_loop(const char* name, const Set& set, Kernel&& kernel, As... as) {
       run_span(std::span<const index_t>(flat), 0, idx_seq);
       return;
     }
-    if (plan.vectorizable && contig && !flat.empty() && !simt_on) {
+    if (plan.vectorizable && contig && !flat.empty()) {
       const index_t lo = flat.front();
       if (nthreads <= 1) {
         run_range(lo, lo + static_cast<index_t>(flat.size()), 0, idx_seq);
@@ -923,7 +902,6 @@ void par_loop(const char* name, const Set& set, Kernel&& kernel, As... as) {
     }(idx_seq);
   }
 
-  if (simt_on && trace::enabled()) detail::emit_simt_counters();
   ctx.post_loop(plan, infos, timer.elapsed());
 }
 
@@ -969,39 +947,15 @@ class LoopChain {
         args);
 
     Member mem;
-    // Fused-tile executor: one contiguous ascending element range, always
-    // through the per-element gather/scatter path (safe for staged
-    // indirect writes; a tile is too short-lived to amortize chunked
-    // staging anyway). Concurrent calls use distinct tids, and scratch
-    // blocks are per-tid slices, so same-color tiles may run in parallel.
-    mem.run_range = [this, kernel, args, scratch](index_t lo, index_t hi,
-                                                  int tid) mutable {
-      [&]<std::size_t... I>(std::index_sequence<I...>) {
-        auto bound = std::make_tuple(
-            detail::bind(std::get<I>(args), std::get<I>(scratch), tid)...);
-        if (ctx_.config().simt) {
-          detail::simt_march(static_cast<std::size_t>(hi - lo), [&](std::size_t i) {
-            const index_t e = lo + static_cast<index_t>(i);
-            kernel(detail::pre(std::get<I>(bound), e)...);
-            (detail::post(std::get<I>(bound), e), ...);
-          });
-          return;
-        }
-        // Same specialization as the solo executor: when no argument is
-        // staged (every dat unit-stride), post() is dead for every arg —
-        // skipping the calls drops a per-arg scratch check from the hot
-        // per-element loop.
-        if (!(detail::is_staged(std::get<I>(bound)) || ...)) {
-          for (index_t e = lo; e < hi; ++e) {
-            kernel(detail::pre(std::get<I>(bound), e)...);
-          }
-          return;
-        }
-        for (index_t e = lo; e < hi; ++e) {
-          kernel(detail::pre(std::get<I>(bound), e)...);
-          (detail::post(std::get<I>(bound), e), ...);
-        }
-      }(std::index_sequence_for<As...>{});
+    // Fused-tile executor: one contiguous ascending element range through
+    // the shared element loop (never chunk-staged: that would be unsafe for
+    // staged indirect writes, and a tile is too short-lived to amortize it
+    // anyway). Concurrent calls use distinct tids, and scratch blocks are
+    // per-tid slices, so same-color tiles may run in parallel.
+    mem.run_range = [kernel, args, scratch](index_t lo, index_t hi, int tid) mutable {
+      auto bound = detail::bind_all(args, scratch, tid);
+      detail::run_elements(kernel, bound, static_cast<std::size_t>(hi - lo),
+                           [lo](std::size_t i) { return lo + static_cast<index_t>(i); });
     };
     // Standalone fallback: the member runs as a full par_loop (its own
     // halo exchange, coloring, reduction merge/finalize machinery).
@@ -1091,7 +1045,6 @@ class LoopChain {
     }
     ++plan.invocations;
     plan.seconds += timer.elapsed();
-    if (ctx_.config().simt && trace::enabled()) detail::emit_simt_counters();
   }
 
   /// The cached plan (null before the first execute()).

@@ -18,10 +18,10 @@
 //    rank hit *and validated* before any rank adopts a plan, because a
 //    mixed hit/miss would dodge the collective plan build on some ranks
 //    only and deadlock the world;
-//  - persistent send buffers (PlanSetComm::send_bufs) and partial-halo
-//    cleanliness (clean_epoch) are never snapshotted: buffers re-grow on
-//    first exchange (metered as warm-up), cleanliness falls back to the
-//    dat-level epoch exactly like a freshly built plan;
+//  - per-neighbor send watermarks (PlanSetComm::send_watermark) and
+//    partial-halo cleanliness (clean_epoch) are never snapshotted:
+//    watermarks re-grow on first exchange (metered as warm-up), cleanliness
+//    falls back to the dat-level epoch exactly like a freshly built plan;
 //  - the vectorizable predicate is invalidated (layout_epoch = 0) so the
 //    first invocation re-evaluates it against this context's dat layouts.
 #include <cstdint>
@@ -311,8 +311,8 @@ PlanSetComm make_comm(const CommSnap& s, const Registry& reg) {
   c.send_idx = s.send_idx;
   c.nbr_recv = s.nbr_recv;
   c.recv_slots = s.recv_slots;
-  // send_bufs stay empty: they re-grow on the first exchange and the growth
-  // is metered as warm-up (halo_buffer_allocs), same as a cold plan.
+  // send_watermark stays empty: it re-grows on the first exchange and the
+  // growth is metered as warm-up (halo_buffer_allocs), same as a cold plan.
   return c;
 }
 
@@ -412,7 +412,6 @@ std::string Context::cache_key(const char* kind) const {
   const std::uint64_t mode = (cfg_.latency_hiding ? 1u : 0u) |
                              ((cfg_.force_coloring || cfg_.nthreads > 1) ? 2u : 0u) |
                              (cfg_.partial_halos ? 4u : 0u) | (cfg_.grouped_halos ? 8u : 0u) |
-                             (cfg_.simt ? 16u : 0u) |
                              (static_cast<std::uint64_t>(cfg_.chain_tile) << 5);
   // Sharded and monolithic declarations of the same spec produce identical
   // plans by the equivalence contract, but their setup paths differ (e.g.

@@ -142,23 +142,9 @@ struct Config {
   /// (vcgt::verify's oracle policy; see DESIGN.md §9). Loops without a
   /// reduction are unaffected.
   bool deterministic_reductions = false;
-  /// SIMT-emulation executor (DESIGN.md §10): march warp-width lane groups
-  /// over the element lists with per-lane predication, recording
-  /// warp-occupancy and branch-divergence counters (op2::simt). Lanes run
-  /// in ascending element order, so results are bit-identical to the
-  /// scalar executor. Also settable via VCGT_OP2_SIMT=1.
-  bool simt = false;
   /// Tile width (seed-member elements per cross-loop tile) for fused
   /// LoopChain execution. Also settable via VCGT_OP2_CHAIN_TILE.
   int chain_tile = 4096;
-  /// Route halo exchanges through the zero-copy transport: pack directly
-  /// into a pooled minimpi::Buffer and move it into the receiver's mailbox
-  /// (Comm::send_owned), unpack directly from the received slab — zero
-  /// per-message heap allocations and zero payload copies at steady state.
-  /// Off = legacy path (persistent per-neighbor pack buffers + send_bytes'
-  /// payload copy), kept for A/B measurement; both paths are bit-identical.
-  /// Also settable via VCGT_OP2_ZERO_COPY.
-  bool zero_copy_transport = true;
 };
 
 /// Partitioning strategy for distributing the primary set across ranks.

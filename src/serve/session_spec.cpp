@@ -4,6 +4,7 @@
 
 #include "src/jm76/layout.hpp"
 #include "src/util/bytes.hpp"
+#include "src/util/fmt.hpp"
 
 namespace vcgt::serve {
 
@@ -11,7 +12,30 @@ namespace {
 
 // Wire format version for the spec blob itself (the frame protocol carries
 // its own version; this one guards the spec encoding inside a frame).
-constexpr std::uint16_t kSpecVersion = 3;  // v3: + op2 zero_copy_transport
+// v4: drops two retired op2 Config toggles; strict decode.
+constexpr std::uint16_t kSpecVersion = 4;
+
+/// Reads a u8-coded enum, rejecting values past its last enumerator (a
+/// blob from a newer or corrupted writer must not become an unnamed enum).
+template <class E>
+E get_enum(util::ByteReader& r, E last, const char* what) {
+  const std::uint8_t v = r.get_u8();
+  if (v > static_cast<std::uint8_t>(last)) {
+    throw std::runtime_error(util::fmt("SessionSpec: invalid {} {}", what, int{v}));
+  }
+  return static_cast<E>(v);
+}
+
+/// Reads an element count, rejecting counts the remaining bytes cannot
+/// hold at `elem_bytes` each — before anything is allocated for them.
+std::uint32_t get_count(util::ByteReader& r, std::size_t elem_bytes, const char* what) {
+  const std::uint32_t n = r.get_u32();
+  if (n > r.remaining() / elem_bytes) {
+    throw std::runtime_error(
+        util::fmt("SessionSpec: {} count {} exceeds the remaining bytes", what, n));
+  }
+  return n;
+}
 
 void put_flow(util::ByteWriter& w, const hydra::FlowConfig& f) {
   w.put_f64(f.gamma);
@@ -81,7 +105,7 @@ hydra::FlowConfig get_flow(util::ByteReader& r) {
   f.rotor_swirl_frac = r.get_f64();
   f.stator_swirl_frac = r.get_f64();
   f.rotor_axial_load = r.get_f64();
-  f.flux_scheme = static_cast<hydra::FlowConfig::FluxScheme>(r.get_u8());
+  f.flux_scheme = get_enum(r, hydra::FlowConfig::FluxScheme::Roe, "flux scheme");
   f.second_order = r.get_bool();
   f.viscous = r.get_bool();
   f.mu_laminar = r.get_f64();
@@ -109,9 +133,7 @@ void put_op2(util::ByteWriter& w, const op2::Config& c) {
   w.put_u8(static_cast<std::uint8_t>(c.default_layout));
   w.put_i32(c.aosoa_block);
   w.put_bool(c.deterministic_reductions);
-  w.put_bool(c.simt);
   w.put_i32(c.chain_tile);
-  w.put_bool(c.zero_copy_transport);
 }
 
 op2::Config get_op2(util::ByteReader& r) {
@@ -122,12 +144,10 @@ op2::Config get_op2(util::ByteReader& r) {
   c.nthreads = r.get_i32();
   c.force_coloring = r.get_bool();
   c.latency_hiding = r.get_bool();
-  c.default_layout = static_cast<op2::Layout>(r.get_u8());
+  c.default_layout = get_enum(r, op2::Layout::AoSoA, "layout");
   c.aosoa_block = r.get_i32();
   c.deterministic_reductions = r.get_bool();
-  c.simt = r.get_bool();
   c.chain_tile = r.get_i32();
-  c.zero_copy_transport = r.get_bool();
   return c;
 }
 
@@ -156,12 +176,12 @@ minimpi::FaultConfig get_fault(util::ByteReader& r) {
   f.p_drop = r.get_f64();
   f.delay_seconds = r.get_f64();
   f.drop_attempts = r.get_i32();
-  const std::uint32_t n = r.get_u32();
-  f.schedule.resize(n);
+  // Entry: i32 rank, u64 op, u8 kind.
+  f.schedule.resize(get_count(r, 4 + 8 + 1, "fault schedule"));
   for (auto& s : f.schedule) {
     s.rank = r.get_i32();
     s.op = r.get_u64();
-    s.kind = static_cast<minimpi::FaultKind>(r.get_u8());
+    s.kind = get_enum(r, minimpi::FaultKind::KillRank, "fault kind");
   }
   return f;
 }
@@ -201,17 +221,17 @@ void get_setup(util::ByteReader& r, SessionSpec& s) {
   s.res.nr = r.get_i32();
   s.res.ntheta = r.get_i32();
   s.flow = get_flow(r);
-  const std::uint32_t nrows = r.get_u32();
-  s.hs_ranks.resize(nrows);
+  s.hs_ranks.resize(get_count(r, 4, "hs_ranks"));
   for (auto& n : s.hs_ranks) n = r.get_i32();
   s.cus_per_interface = r.get_i32();
-  s.search = static_cast<jm76::SearchKind>(r.get_u8());
-  s.interp = static_cast<jm76::InterpKind>(r.get_u8());
-  s.transfer = static_cast<jm76::TransferKind>(r.get_u8());
-  s.cu_partition = static_cast<jm76::CoupledConfig::CuPartition>(r.get_u8());
+  s.search = get_enum(r, jm76::SearchKind::Bins, "search kind");
+  s.interp = get_enum(r, jm76::InterpKind::Bilinear, "interp kind");
+  s.transfer = get_enum(r, jm76::TransferKind::MixingPlane, "transfer kind");
+  s.cu_partition =
+      get_enum(r, jm76::CoupledConfig::CuPartition::RoundRobin, "CU partition");
   s.staged_gather = r.get_bool();
   s.op2cfg = get_op2(r);
-  s.partitioner = static_cast<op2::Partitioner>(r.get_u8());
+  s.partitioner = get_enum(r, op2::Partitioner::Kway, "partitioner");
   s.sharded_setup = r.get_bool();
 }
 
@@ -242,6 +262,7 @@ SessionSpec SessionSpec::deserialize(std::span<const std::byte> bytes) {
   s.nsteps = r.get_i32();
   s.inner = r.get_i32();
   s.fault = get_fault(r);
+  if (!r.done()) throw std::runtime_error("SessionSpec: trailing bytes after the spec");
   return s;
 }
 

@@ -76,6 +76,9 @@ struct SessionSpec {
 
   /// Canonical little-endian byte form (the hashes are FNV-1a over this).
   [[nodiscard]] std::vector<std::byte> serialize() const;
+  /// Inverse of serialize(). Untrusted input: throws std::runtime_error on
+  /// a version mismatch, truncation, a count larger than the remaining
+  /// bytes can hold, an out-of-range enum byte or trailing bytes.
   static SessionSpec deserialize(std::span<const std::byte> bytes);
 
   /// Hash of the full spec (job identity).

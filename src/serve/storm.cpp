@@ -42,11 +42,14 @@ StormResult run_storm(Server& server, const StormConfig& cfg) {
   std::int64_t next_arrival = t_start;
   for (int i = 0; i < cfg.jobs; ++i) {
     // Open loop: sleep to the scheduled arrival, never to a completion.
+    // Latency runs from the *scheduled* arrival, so time the generator
+    // spends late (oversleep, a slow previous submit) counts against the
+    // server like any other client-visible wait.
     const std::int64_t now = steady_ns();
     if (next_arrival > now) {
       std::this_thread::sleep_for(std::chrono::nanoseconds(next_arrival - now));
     }
-    const std::int64_t arrival = steady_ns();
+    const std::int64_t arrival = next_arrival;
     const SessionSpec& spec =
         cfg.specs[static_cast<std::size_t>(i) % cfg.specs.size()];
     const Server::Ticket t = server.submit(spec);

@@ -8,7 +8,8 @@
 // Poisson process at `rate_hz`; each arrival submits the next spec from
 // the round-robin list and takes the server's admission verdict as final
 // (a rejected open-loop client walks away — that's the backpressure
-// working). Latency is measured per accepted job from its arrival stamp
+// working). Latency is measured per accepted job from its scheduled
+// arrival time (not the moment the generator got round to submitting it)
 // to the job body's completion stamp, so out-of-order completions across
 // worlds are timed correctly even though results are claimed in
 // submission order.

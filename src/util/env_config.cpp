@@ -1,6 +1,10 @@
 #include "src/util/env_config.hpp"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdlib>
+#include <string_view>
 
 #include "src/util/fmt.hpp"
 
@@ -8,56 +12,68 @@ namespace vcgt::util {
 
 namespace {
 
-void parse_string(EnvConfig& cfg, const char* name, std::optional<std::string>* out) {
-  if (const char* v = std::getenv(name)) {
-    (void)cfg;
-    *out = std::string(v);
+/// Parsing state: the config being filled plus every variable name looked
+/// up, so leftover VCGT_* variables can be reported as unknown.
+struct Parser {
+  EnvConfig& cfg;
+  std::vector<std::string_view> known;
+
+  const char* get(const char* name) {
+    known.emplace_back(name);
+    return std::getenv(name);
   }
+};
+
+void parse_string(Parser& p, const char* name, std::optional<std::string>* out) {
+  if (const char* v = p.get(name)) *out = std::string(v);
 }
 
-void parse_double(EnvConfig& cfg, const char* name, std::optional<double>* out) {
-  const char* v = std::getenv(name);
+void parse_double(Parser& p, const char* name, std::optional<double>* out) {
+  const char* v = p.get(name);
   if (!v) return;
   char* end = nullptr;
   const double d = std::strtod(v, &end);
   if (end == v || (end && *end != '\0')) {
-    cfg.warnings.push_back(fmt("{}: not a number: '{}'", name, v));
+    p.cfg.warnings.push_back(fmt("{}: not a number: '{}'", name, v));
     return;
   }
   *out = d;
 }
 
-void parse_int(EnvConfig& cfg, const char* name, std::optional<int>* out) {
-  const char* v = std::getenv(name);
+void parse_int(Parser& p, const char* name, std::optional<int>* out) {
+  const char* v = p.get(name);
   if (!v) return;
   char* end = nullptr;
   const long n = std::strtol(v, &end, 10);
   if (end == v || (end && *end != '\0')) {
-    cfg.warnings.push_back(fmt("{}: not an integer: '{}'", name, v));
+    p.cfg.warnings.push_back(fmt("{}: not an integer: '{}'", name, v));
     return;
   }
   *out = static_cast<int>(n);
 }
 
-void parse_u64(EnvConfig& cfg, const char* name, std::optional<std::uint64_t>* out) {
-  const char* v = std::getenv(name);
+void parse_u64(Parser& p, const char* name, std::optional<std::uint64_t>* out) {
+  const char* v = p.get(name);
   if (!v) return;
   char* end = nullptr;
   const unsigned long long n = std::strtoull(v, &end, 10);
   if (end == v || (end && *end != '\0')) {
-    cfg.warnings.push_back(fmt("{}: not an unsigned integer: '{}'", name, v));
+    p.cfg.warnings.push_back(fmt("{}: not an unsigned integer: '{}'", name, v));
     return;
   }
   *out = static_cast<std::uint64_t>(n);
 }
 
-void parse_bool(EnvConfig& cfg, const char* name, std::optional<bool>* out) {
-  const char* v = std::getenv(name);
-  if (!v) return;
-  (void)cfg;
-  // Historical VCGT_OP2_SIMT convention: empty or "0" disables, anything
-  // else enables.
-  *out = v[0] != '\0' && v[0] != '0';
+/// Warns once per set VCGT_* variable that no parse above looked up.
+void warn_unknown(Parser& p) {
+  for (char** e = environ; e != nullptr && *e != nullptr; ++e) {
+    const std::string_view entry(*e);
+    if (!entry.starts_with("VCGT_")) continue;
+    const std::string_view name = entry.substr(0, entry.find('='));
+    if (std::find(p.known.begin(), p.known.end(), name) == p.known.end()) {
+      p.cfg.warnings.push_back(fmt("{}: unknown variable, ignored", name));
+    }
+  }
 }
 
 std::string pad(const char* name) {
@@ -70,31 +86,27 @@ std::string pad(const char* name) {
 template <class T>
 std::string show(const char* name, const std::optional<T>& v) {
   if (!v) return pad(name) + "(unset)\n";
-  if constexpr (std::is_same_v<T, bool>) {
-    return pad(name) + (*v ? "1" : "0") + "\n";
-  } else {
-    return pad(name) + fmt("{}", *v) + "\n";
-  }
+  return pad(name) + fmt("{}", *v) + "\n";
 }
 
 }  // namespace
 
 EnvConfig env_config() {
   EnvConfig cfg;
-  parse_string(cfg, "VCGT_LOG", &cfg.log_level);
-  parse_string(cfg, "VCGT_OP2_LAYOUT", &cfg.op2_layout);
-  parse_bool(cfg, "VCGT_OP2_SIMT", &cfg.op2_simt);
-  parse_int(cfg, "VCGT_OP2_CHAIN_TILE", &cfg.op2_chain_tile);
-  parse_bool(cfg, "VCGT_OP2_ZERO_COPY", &cfg.op2_zero_copy);
-  parse_double(cfg, "VCGT_RECV_TIMEOUT", &cfg.recv_timeout);
-  parse_int(cfg, "VCGT_RECV_RETRIES", &cfg.recv_retries);
-  parse_double(cfg, "VCGT_STALL_TIMEOUT", &cfg.stall_timeout);
-  parse_u64(cfg, "VCGT_FAULT_SEED", &cfg.fault_seed);
-  parse_double(cfg, "VCGT_FAULT_P_DELAY", &cfg.fault_p_delay);
-  parse_double(cfg, "VCGT_FAULT_P_DUP", &cfg.fault_p_dup);
-  parse_double(cfg, "VCGT_FAULT_P_REORDER", &cfg.fault_p_reorder);
-  parse_double(cfg, "VCGT_FAULT_P_DROP", &cfg.fault_p_drop);
-  parse_string(cfg, "VCGT_FAULT_KILL", &cfg.fault_kill);
+  Parser p{cfg, {}};
+  parse_string(p, "VCGT_LOG", &cfg.log_level);
+  parse_string(p, "VCGT_OP2_LAYOUT", &cfg.op2_layout);
+  parse_int(p, "VCGT_OP2_CHAIN_TILE", &cfg.op2_chain_tile);
+  parse_double(p, "VCGT_RECV_TIMEOUT", &cfg.recv_timeout);
+  parse_int(p, "VCGT_RECV_RETRIES", &cfg.recv_retries);
+  parse_double(p, "VCGT_STALL_TIMEOUT", &cfg.stall_timeout);
+  parse_u64(p, "VCGT_FAULT_SEED", &cfg.fault_seed);
+  parse_double(p, "VCGT_FAULT_P_DELAY", &cfg.fault_p_delay);
+  parse_double(p, "VCGT_FAULT_P_DUP", &cfg.fault_p_dup);
+  parse_double(p, "VCGT_FAULT_P_REORDER", &cfg.fault_p_reorder);
+  parse_double(p, "VCGT_FAULT_P_DROP", &cfg.fault_p_drop);
+  parse_string(p, "VCGT_FAULT_KILL", &cfg.fault_kill);
+  warn_unknown(p);
   return cfg;
 }
 
@@ -102,9 +114,7 @@ std::string EnvConfig::describe() const {
   std::string out = "VCGT_* environment configuration:\n";
   out += show("VCGT_LOG", log_level);
   out += show("VCGT_OP2_LAYOUT", op2_layout);
-  out += show("VCGT_OP2_SIMT", op2_simt);
   out += show("VCGT_OP2_CHAIN_TILE", op2_chain_tile);
-  out += show("VCGT_OP2_ZERO_COPY", op2_zero_copy);
   out += show("VCGT_RECV_TIMEOUT", recv_timeout);
   out += show("VCGT_RECV_RETRIES", recv_retries);
   out += show("VCGT_STALL_TIMEOUT", stall_timeout);

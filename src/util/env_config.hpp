@@ -7,10 +7,12 @@
 // — four private parsers, four error conventions, no way to dump what a run
 // actually saw. env_config() parses the whole namespace in one place into
 // typed optionals (unset variables stay nullopt so each consumer keeps its
-// own default), collects warnings for malformed values instead of silently
-// ignoring them, and can render the effective configuration for the tools'
-// --print-config flag. Consumers re-parse on each call — tests setenv() at
-// runtime, so caching here would freeze the first test's environment.
+// own default), collects warnings for malformed values and for set VCGT_*
+// variables it does not know (a stale script exporting a retired knob
+// hears about it) instead of silently ignoring them, and can render the
+// effective configuration for the tools' --print-config flag. Consumers
+// re-parse on each call — tests setenv() at runtime, so caching here would
+// freeze the first test's environment.
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -24,9 +26,7 @@ struct EnvConfig {
 
   // --- op2 ----------------------------------------------------------------
   std::optional<std::string> op2_layout;  ///< VCGT_OP2_LAYOUT: aos|soa|aosoa[<W>]
-  std::optional<bool> op2_simt;           ///< VCGT_OP2_SIMT
   std::optional<int> op2_chain_tile;      ///< VCGT_OP2_CHAIN_TILE (> 0)
-  std::optional<bool> op2_zero_copy;      ///< VCGT_OP2_ZERO_COPY
 
   // --- minimpi robustness ---------------------------------------------------
   std::optional<double> recv_timeout;   ///< VCGT_RECV_TIMEOUT [s]
@@ -42,7 +42,8 @@ struct EnvConfig {
   std::optional<std::string> fault_kill;    ///< VCGT_FAULT_KILL: "<rank>:<op>"
 
   /// Malformed values encountered while parsing (the variable keeps its
-  /// consumer-side default; the message names the variable and the input).
+  /// consumer-side default; the message names the variable and the input),
+  /// and set VCGT_* variables no consumer reads (named, ignored).
   std::vector<std::string> warnings;
 
   /// Human-readable dump of every knob — set values with their source

@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -31,6 +34,22 @@ struct LayoutSpec {
 
 const LayoutSpec kLayouts[] = {
     {Layout::AoS, 1}, {Layout::SoA, 1}, {Layout::AoSoA, 4}, {Layout::AoSoA, 8}};
+
+// gtest registers each sweep case under a name ending in a byte dump of its
+// parameter ("# GetParam() = 16-byte object <...>"). Its default dump reads
+// the struct's padding, which holds stack garbage, so the registered test
+// names changed from build to build. The PrintTo overloads below keep that
+// dump format but copy the fields into a zeroed image first, which makes the
+// names stable.
+template <typename F>
+void put_field(unsigned char* image, std::size_t offset, const F& field) {
+  std::memcpy(image + offset, &field, sizeof field);
+}
+
+void put_spec(unsigned char* image, std::size_t offset, const LayoutSpec& s) {
+  put_field(image, offset + offsetof(LayoutSpec, layout), s.layout);
+  put_field(image, offset + offsetof(LayoutSpec, block), s.block);
+}
 
 std::string spec_name(const LayoutSpec& s) {
   if (s.layout == Layout::AoSoA) return "aosoa" + std::to_string(s.block);
@@ -130,6 +149,15 @@ struct LayoutCase {
   bool renumber = false;
 };
 
+void PrintTo(const LayoutCase& c, std::ostream* os) {
+  unsigned char image[sizeof(LayoutCase)] = {};
+  put_spec(image, offsetof(LayoutCase, spec), c.spec);
+  put_field(image, offsetof(LayoutCase, nthreads), c.nthreads);
+  put_field(image, offsetof(LayoutCase, force_coloring), c.force_coloring);
+  put_field(image, offsetof(LayoutCase, renumber), c.renumber);
+  testing::internal::PrintBytesInObjectTo(image, sizeof image, os);
+}
+
 std::string case_name(const testing::TestParamInfo<LayoutCase>& info) {
   const auto& c = info.param;
   return spec_name(c.spec) + (c.force_coloring ? "_col" : "") +
@@ -188,6 +216,16 @@ struct DistLayoutCase {
   bool grouped_halos;
   int nthreads = 1;
 };
+
+void PrintTo(const DistLayoutCase& c, std::ostream* os) {
+  unsigned char image[sizeof(DistLayoutCase)] = {};
+  put_spec(image, offsetof(DistLayoutCase, spec), c.spec);
+  put_field(image, offsetof(DistLayoutCase, nranks), c.nranks);
+  put_field(image, offsetof(DistLayoutCase, partial_halos), c.partial_halos);
+  put_field(image, offsetof(DistLayoutCase, grouped_halos), c.grouped_halos);
+  put_field(image, offsetof(DistLayoutCase, nthreads), c.nthreads);
+  testing::internal::PrintBytesInObjectTo(image, sizeof image, os);
+}
 
 std::string dist_case_name(const testing::TestParamInfo<DistLayoutCase>& info) {
   const auto& c = info.param;

@@ -6,6 +6,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <functional>
+#include <string>
 #include <thread>
 
 #include "src/minimpi/pool.hpp"
@@ -95,6 +98,131 @@ TEST(SessionSpec, SetupHashCoversStructuralFields) {
 TEST(SessionSpec, DeserializeRejectsGarbage) {
   std::vector<std::byte> junk(7, std::byte{0x5A});
   EXPECT_THROW(serve::SessionSpec::deserialize(junk), std::runtime_error);
+}
+
+// --- SessionSpec decoder hardening ------------------------------------------
+
+/// Offset of the one byte where the two specs' blobs differ.
+std::size_t diff_offset(const serve::SessionSpec& a, const serve::SessionSpec& b) {
+  const auto x = a.serialize();
+  const auto y = b.serialize();
+  EXPECT_EQ(x.size(), y.size());
+  std::size_t at = 0;
+  int ndiff = 0;
+  for (std::size_t i = 0; i < std::min(x.size(), y.size()); ++i) {
+    if (x[i] != y[i]) {
+      at = i;
+      ++ndiff;
+    }
+  }
+  EXPECT_EQ(ndiff, 1);
+  return at;
+}
+
+void put_u32_at(std::vector<std::byte>& bytes, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[at + static_cast<std::size_t>(i)] = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
+  }
+}
+
+/// Expects deserialize to throw std::runtime_error mentioning `what`.
+void expect_rejected(const std::vector<std::byte>& bytes, const std::string& what) {
+  try {
+    (void)serve::SessionSpec::deserialize(bytes);
+    ADD_FAILURE() << "accepted a blob that should fail on: " << what;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
+TEST(SessionSpec, DeserializeRejectsHugeRankCountBeforeAllocating) {
+  auto a = tiny_spec();
+  auto b = a;
+  b.hs_ranks = {2};
+  auto bytes = a.serialize();
+  // The differing byte is the first one of hs_ranks[0]; the count precedes it.
+  put_u32_at(bytes, diff_offset(a, b) - 4, 0xFFFFFFFFu);
+  expect_rejected(bytes, "hs_ranks count");
+}
+
+TEST(SessionSpec, DeserializeRejectsHugeFaultScheduleCount) {
+  const auto spec = tiny_spec();
+  ASSERT_TRUE(spec.fault.schedule.empty());
+  auto bytes = spec.serialize();
+  // An empty schedule's u32 count is the blob's last field.
+  put_u32_at(bytes, bytes.size() - 4, 0xFFFFFFFFu);
+  expect_rejected(bytes, "fault schedule count");
+}
+
+TEST(SessionSpec, DeserializeRangeChecksEnumBytes) {
+  struct Case {
+    const char* what;
+    std::function<void(serve::SessionSpec&)> base, variant;
+    std::uint8_t first_invalid;
+  };
+  using FS = hydra::FlowConfig::FluxScheme;
+  using CP = jm76::CoupledConfig::CuPartition;
+  const Case cases[] = {
+      {"flux scheme", [](auto& s) { s.flow.flux_scheme = FS::Rusanov; },
+       [](auto& s) { s.flow.flux_scheme = FS::Roe; }, 2},
+      {"layout", [](auto& s) { s.op2cfg.default_layout = op2::Layout::AoS; },
+       [](auto& s) { s.op2cfg.default_layout = op2::Layout::AoSoA; }, 3},
+      {"search kind", [](auto& s) { s.search = jm76::SearchKind::BruteForce; },
+       [](auto& s) { s.search = jm76::SearchKind::Bins; }, 3},
+      {"interp kind", [](auto& s) { s.interp = jm76::InterpKind::DonorCell; },
+       [](auto& s) { s.interp = jm76::InterpKind::Bilinear; }, 2},
+      {"transfer kind", [](auto& s) { s.transfer = jm76::TransferKind::SlidingPlane; },
+       [](auto& s) { s.transfer = jm76::TransferKind::MixingPlane; }, 2},
+      {"CU partition", [](auto& s) { s.cu_partition = CP::Sector; },
+       [](auto& s) { s.cu_partition = CP::RoundRobin; }, 2},
+      {"partitioner", [](auto& s) { s.partitioner = op2::Partitioner::Block; },
+       [](auto& s) { s.partitioner = op2::Partitioner::Kway; }, 3},
+      {"fault kind",
+       [](auto& s) { s.fault.schedule = {{1, 33, minimpi::FaultKind::None}}; },
+       [](auto& s) { s.fault.schedule = {{1, 33, minimpi::FaultKind::KillRank}}; }, 6},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    auto a = tiny_spec();
+    c.base(a);
+    auto b = a;
+    c.variant(b);
+    const std::size_t at = diff_offset(a, b);
+    // The last enumerator decodes; one past it and 0xFF do not.
+    EXPECT_TRUE(serve::SessionSpec::deserialize(b.serialize()) == b);
+    auto bytes = b.serialize();
+    bytes[at] = std::byte{c.first_invalid};
+    expect_rejected(bytes, c.what);
+    bytes[at] = std::byte{0xFF};
+    expect_rejected(bytes, c.what);
+  }
+}
+
+TEST(SessionSpec, DeserializeRejectsTrailingBytes) {
+  auto bytes = tiny_spec().serialize();
+  bytes.push_back(std::byte{0});
+  expect_rejected(bytes, "trailing bytes");
+}
+
+TEST(SessionSpec, DeserializeRejectsV3Blob) {
+  // Rebuild the v3 encoding of a spec: version 3, plus the two op2 Config
+  // booleans v4 dropped (one after deterministic_reductions, one after
+  // chain_tile).
+  auto a = tiny_spec();
+  auto b = a;
+  b.op2cfg.deterministic_reductions = !a.op2cfg.deterministic_reductions;
+  const std::size_t det = diff_offset(a, b);
+  const auto v4 = a.serialize();
+  std::vector<std::byte> v3(v4.begin(), v4.begin() + static_cast<std::ptrdiff_t>(det + 1));
+  v3.push_back(std::byte{0});
+  v3.insert(v3.end(), v4.begin() + static_cast<std::ptrdiff_t>(det + 1),
+            v4.begin() + static_cast<std::ptrdiff_t>(det + 5));
+  v3.push_back(std::byte{1});
+  v3.insert(v3.end(), v4.begin() + static_cast<std::ptrdiff_t>(det + 5), v4.end());
+  v3[0] = std::byte{3};
+  v3[1] = std::byte{0};
+  ASSERT_EQ(v3.size(), v4.size() + 2);
+  expect_rejected(v3, "unsupported spec version");
 }
 
 TEST(SessionSpec, CoupledConfigForcesUnpipelined) {
@@ -463,6 +591,19 @@ TEST(ServeServer, WaitStreamRendersProtocolFrames) {
   EXPECT_EQ(last->as_job_done().steps, spec.nsteps);
   // The handle is consumed: a second wait is a caller bug.
   EXPECT_THROW(server.wait(ticket.job_id), std::invalid_argument);
+}
+
+TEST(ServeServer, StormLatencyRunsFromScheduledArrival) {
+  // The first arrival is scheduled at the storm's start, so a one-job
+  // storm's latency must span exactly start → completion (= elapsed):
+  // time the generator takes to get round to submitting counts.
+  serve::Server server;
+  serve::StormConfig storm;
+  storm.jobs = 1;
+  storm.specs.push_back(tiny_spec());
+  const auto res = serve::run_storm(server, storm);
+  ASSERT_EQ(res.completed, 1);
+  EXPECT_NEAR(res.p50_ms, res.elapsed_seconds * 1e3, 1e-6);
 }
 
 TEST(ServeServer, StormAgainstTightQueueSeesBackpressure) {

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "src/util/cli.hpp"
+#include "src/util/env_config.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/stats.hpp"
 #include "src/util/table.hpp"
@@ -174,6 +176,29 @@ TEST(Cli, ParsesAllForms) {
   EXPECT_FALSE(cli.get_bool("missing", false));
   ASSERT_EQ(cli.positional().size(), 1u);
   EXPECT_EQ(cli.positional()[0], "pos1");
+}
+
+TEST(EnvConfig, UnknownVcgtVariableWarnsKnownOneDoesNot) {
+  // A script still exporting a retired knob must hear about it.
+  ::setenv("VCGT_OP2_RETIRED_KNOB", "0", 1);
+  ::setenv("VCGT_OP2_CHAIN_TILE", "64", 1);
+  const EnvConfig env = env_config();
+  ::unsetenv("VCGT_OP2_RETIRED_KNOB");
+  ::unsetenv("VCGT_OP2_CHAIN_TILE");
+  int unknown = 0;
+  for (const auto& w : env.warnings) {
+    if (w == "VCGT_OP2_RETIRED_KNOB: unknown variable, ignored") ++unknown;
+    EXPECT_EQ(w.find("VCGT_OP2_CHAIN_TILE"), std::string::npos) << w;
+  }
+  EXPECT_EQ(unknown, 1);
+  EXPECT_EQ(env.op2_chain_tile, 64);
+  const std::string text = env.describe();
+  EXPECT_NE(text.find("warning: VCGT_OP2_RETIRED_KNOB: unknown variable"), std::string::npos);
+  EXPECT_NE(text.find("VCGT_OP2_CHAIN_TILE"), std::string::npos);
+  // Unset again: nothing left to report.
+  for (const auto& w : env_config().warnings) {
+    EXPECT_EQ(w.find("VCGT_OP2_RETIRED_KNOB"), std::string::npos) << w;
+  }
 }
 
 TEST(ThreadPool, CoversAllIndices) {
